@@ -326,19 +326,19 @@ fn op_str(p: &Program, op: &Op) -> String {
         Op::AStore { arr, idx, src } => format!("astore r{}, r{}, r{}", arr.0, idx.0, src.0),
         Op::ALen { dst, arr } => format!("alen r{}, r{}", dst.0, arr.0),
         Op::Intrinsic { dst, kind, args } => {
-            let (name, needs_dst) = match kind {
-                IntrinsicKind::PrintInt => ("printint", false),
-                IntrinsicKind::PrintDouble => ("printdouble", false),
-                IntrinsicKind::PrintChar => ("printchar", false),
-                IntrinsicKind::SinkInt => ("sinkint", false),
-                IntrinsicKind::SinkDouble => ("sinkdouble", false),
-                IntrinsicKind::DSqrt => ("dsqrt", true),
-                IntrinsicKind::DAbs => ("dabs", true),
-                IntrinsicKind::IAbs => ("iabs", true),
-                IntrinsicKind::IMin => ("imin", true),
-                IntrinsicKind::IMax => ("imax", true),
+            let name = match kind {
+                IntrinsicKind::PrintInt => "printint",
+                IntrinsicKind::PrintDouble => "printdouble",
+                IntrinsicKind::PrintChar => "printchar",
+                IntrinsicKind::SinkInt => "sinkint",
+                IntrinsicKind::SinkDouble => "sinkdouble",
+                IntrinsicKind::DSqrt => "dsqrt",
+                IntrinsicKind::DAbs => "dabs",
+                IntrinsicKind::IAbs => "iabs",
+                IntrinsicKind::IMin => "imin",
+                IntrinsicKind::IMax => "imax",
             };
-            if needs_dst {
+            if kind.has_result() {
                 format!(
                     "{name} r{}, {}",
                     dst.map(|d| d.0).unwrap_or(0),

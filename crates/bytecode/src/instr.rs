@@ -148,6 +148,27 @@ impl IntrinsicKind {
                 | IntrinsicKind::SinkDouble
         )
     }
+
+    /// Number of register operands the intrinsic reads.
+    pub fn arity(self) -> usize {
+        match self {
+            IntrinsicKind::IMin | IntrinsicKind::IMax => 2,
+            _ => 1,
+        }
+    }
+
+    /// True if the intrinsic writes a result register (`dst`); the others
+    /// must have none.
+    pub fn has_result(self) -> bool {
+        matches!(
+            self,
+            IntrinsicKind::DSqrt
+                | IntrinsicKind::DAbs
+                | IntrinsicKind::IAbs
+                | IntrinsicKind::IMin
+                | IntrinsicKind::IMax
+        )
+    }
 }
 
 /// A straight-line operation. See the module docs for the role split between

@@ -133,6 +133,24 @@ pub enum VerifyError {
         /// Human-readable description of the dangling id.
         what: String,
     },
+    /// An intrinsic has the wrong number of operands, or a result register
+    /// where it writes none (or none where it writes one).
+    MalformedIntrinsic {
+        /// Offending method.
+        method: String,
+        /// Instruction index.
+        at: usize,
+        /// The intrinsic, e.g. `IMin`.
+        intrinsic: String,
+        /// Operands it reads.
+        expected_args: usize,
+        /// Operands found.
+        found_args: usize,
+        /// Whether it writes a result register.
+        expects_dst: bool,
+        /// Whether a result register was given.
+        found_dst: bool,
+    },
     /// An instruction can never execute (no path from the method entry
     /// reaches it). Only reported by [`verify_reachability`] /
     /// [`crate::ProgramBuilder::finish_strict`]; plain verification
@@ -202,6 +220,24 @@ impl fmt::Display for VerifyError {
             }
             VerifyError::DanglingRef { method, at, what } => {
                 write!(f, "{method}@{at}: dangling reference to {what}")
+            }
+            VerifyError::MalformedIntrinsic {
+                method,
+                at,
+                intrinsic,
+                expected_args,
+                found_args,
+                expects_dst,
+                found_dst,
+            } => {
+                let dst = |has: bool| if has { "a result" } else { "no result" };
+                write!(
+                    f,
+                    "{method}@{at}: intrinsic {intrinsic} takes {expected_args} operand(s) and {}, \
+                     found {found_args} and {}",
+                    dst(*expects_dst),
+                    dst(*found_dst)
+                )
             }
             VerifyError::UnreachableCode { method, at } => {
                 write!(f, "{method}@{at}: instruction is unreachable")
@@ -544,6 +580,20 @@ fn verify_op(
         | Op::NotifyInstStore { .. }
         | Op::NotifyStaticStore { .. }
         | Op::GuardState { .. } => Err(VerifyError::NotifyInSource { method: name(), at }),
+        Op::Intrinsic { dst, kind, args } => {
+            if args.len() != kind.arity() || dst.is_some() != kind.has_result() {
+                return Err(VerifyError::MalformedIntrinsic {
+                    method: name(),
+                    at,
+                    intrinsic: format!("{kind:?}"),
+                    expected_args: kind.arity(),
+                    found_args: args.len(),
+                    expects_dst: kind.has_result(),
+                    found_dst: dst.is_some(),
+                });
+            }
+            Ok(())
+        }
         _ => Ok(()),
     }
 }

@@ -4,8 +4,8 @@
 //! Vec index, and asserts the precise typed error instead.
 
 use dchm_bytecode::{
-    verify_reachability, ClassId, FieldId, Instr, MethodId, MethodSig, Op, ProgramBuilder, Reg,
-    SelectorId, Ty, Value, VerifyError,
+    verify_reachability, ClassId, FieldId, Instr, IntrinsicKind, MethodId, MethodSig, Op,
+    ProgramBuilder, Reg, SelectorId, Ty, Value, VerifyError,
 };
 
 /// Registers a `void f()` body on a fresh single-class program and runs the
@@ -188,4 +188,82 @@ fn dangling_ref_display_names_method_and_site() {
     };
     let s = format!("{e}");
     assert!(s.contains("C::f") && s.contains("@3") && s.contains("F9"), "{s}");
+}
+
+const ALL_INTRINSICS: [IntrinsicKind; 10] = [
+    IntrinsicKind::PrintInt,
+    IntrinsicKind::PrintDouble,
+    IntrinsicKind::PrintChar,
+    IntrinsicKind::SinkInt,
+    IntrinsicKind::SinkDouble,
+    IntrinsicKind::DSqrt,
+    IntrinsicKind::DAbs,
+    IntrinsicKind::IAbs,
+    IntrinsicKind::IMin,
+    IntrinsicKind::IMax,
+];
+
+/// A body holding one raw intrinsic over freshly allocated registers.
+fn intrinsic_body(
+    kind: IntrinsicKind,
+    with_dst: bool,
+    n_args: usize,
+) -> Result<dchm_bytecode::Program, VerifyError> {
+    finish_with_body(|m| {
+        let args: Vec<Reg> = (0..n_args).map(|_| m.imm(3)).collect();
+        let dst = with_dst.then(|| m.reg());
+        m.op(Op::Intrinsic { dst, kind, args });
+        m.ret(None);
+    })
+}
+
+#[test]
+fn well_formed_intrinsics_pass() {
+    for kind in ALL_INTRINSICS {
+        intrinsic_body(kind, kind.has_result(), kind.arity())
+            .unwrap_or_else(|e| panic!("{kind:?}: {e}"));
+    }
+}
+
+#[test]
+fn intrinsic_with_missing_operand_is_rejected() {
+    // `imin` with one operand used to pass the verifier and then index out
+    // of bounds inside the interpreter.
+    let err = intrinsic_body(IntrinsicKind::IMin, true, 1).unwrap_err();
+    assert_eq!(
+        err,
+        VerifyError::MalformedIntrinsic {
+            method: "C::f".into(),
+            at: 1,
+            intrinsic: "IMin".into(),
+            expected_args: 2,
+            found_args: 1,
+            expects_dst: true,
+            found_dst: true,
+        }
+    );
+    let s = format!("{err}");
+    assert!(s.contains("C::f@1") && s.contains("IMin") && s.contains("takes 2"), "{s}");
+}
+
+#[test]
+fn intrinsic_operand_count_and_result_are_checked_for_every_kind() {
+    for kind in ALL_INTRINSICS {
+        let n = kind.arity();
+        for (with_dst, n_args) in [
+            (kind.has_result(), n + 1),
+            (kind.has_result(), n - 1),
+            (!kind.has_result(), n),
+        ] {
+            let err = intrinsic_body(kind, with_dst, n_args).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    VerifyError::MalformedIntrinsic { found_args, found_dst, .. }
+                        if found_args == n_args && found_dst == with_dst
+                ),
+                "{kind:?} dst={with_dst} args={n_args}: {err}"
+            );
+        }
+    }
 }

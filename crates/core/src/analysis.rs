@@ -21,7 +21,7 @@ use dchm_bytecode::{
     loop_nesting, ClassId, FieldId, Instr, MethodKind, Op, Program, Reg, Value,
 };
 use dchm_profile::{HotMethodReport, ValueReport};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// Analysis tunables.
 #[derive(Clone, Debug)]
@@ -76,6 +76,196 @@ pub struct FieldScore {
     pub score: f64,
 }
 
+/// Whether an EQ 1 site reads a field in a branch or assigns it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum SiteKind {
+    /// A compare or conditional branch consuming the field's value.
+    Use,
+    /// A store outside a constructor.
+    Assign,
+}
+
+/// One EQ 1 site: where in which method a field is used or assigned.
+#[derive(Clone, Copy, Debug)]
+struct Site {
+    method: usize,
+    field: FieldId,
+    /// Loop nesting of the site, 1-based.
+    depth: f64,
+    kind: SiteKind,
+}
+
+/// Slack of the [`FieldSites::watch_set`] comparison. Float rounding moves
+/// an EQ 1 score by a few ulps of its terms, far less than this; the slack
+/// keeps a field whose exact bound ties `min_score` inside the set.
+const WATCH_SLACK: f64 = 1e-9;
+
+/// The EQ 1 sites of a program: every branch use of a field and every
+/// non-constructor assignment, with its loop depth, in bytecode order. One
+/// walk over the program collects them. They do not depend on hotness, so
+/// the walk can run before the profiling run that measures it, and serve
+/// both the watch set ([`Self::watch_set`]) and the scores
+/// ([`Self::scores`]).
+#[derive(Debug)]
+pub struct FieldSites {
+    sites: Vec<Site>,
+}
+
+impl FieldSites {
+    /// Walks every method once, tracking which register holds which
+    /// field's value (loads taint, moves copy, other defs clear).
+    pub fn collect(program: &Program) -> Self {
+        let mut sites = Vec::new();
+        for (mi, md) in program.methods.iter().enumerate() {
+            if md.code.is_empty() {
+                continue;
+            }
+            let nesting = loop_nesting(&md.code);
+            let mut site = |field: FieldId, at: usize, kind: SiteKind| {
+                sites.push(Site {
+                    method: mi,
+                    field,
+                    depth: (nesting.nesting[at] + 1) as f64,
+                    kind,
+                });
+            };
+            // Taint: which register currently holds which field's value.
+            let mut taint: HashMap<Reg, FieldId> = HashMap::new();
+            for (at, instr) in md.code.iter().enumerate() {
+                match instr {
+                    Instr::Op(op) => {
+                        // Branch uses: a compare consuming a field-tainted reg.
+                        match op {
+                            Op::ICmp { a, b, .. } | Op::DCmp { a, b, .. } => {
+                                for r in [a, b] {
+                                    if let Some(&f) = taint.get(r) {
+                                        site(f, at, SiteKind::Use);
+                                    }
+                                }
+                            }
+                            Op::PutField { field, .. } | Op::PutStatic { field, .. }
+                                // Constructor self-initialization is expected and
+                                // cheap; the paper's "assignment in a cold
+                                // function" penalty targets steady-state writes.
+                                if md.kind != MethodKind::Constructor => {
+                                    site(*field, at, SiteKind::Assign);
+                                }
+                            _ => {}
+                        }
+                        // Taint transfer.
+                        match op {
+                            Op::GetField { dst, field, .. } | Op::GetStatic { dst, field } => {
+                                taint.insert(*dst, *field);
+                            }
+                            Op::Mov { dst, src } => match taint.get(src).copied() {
+                                Some(f) => {
+                                    taint.insert(*dst, f);
+                                }
+                                None => {
+                                    taint.remove(dst);
+                                }
+                            },
+                            _ => {
+                                if let Some(d) = op.def() {
+                                    taint.remove(&d);
+                                }
+                            }
+                        }
+                    }
+                    Instr::BrIf { cond, .. } => {
+                        // Direct branch on a (boolean) field value.
+                        if let Some(&f) = taint.get(cond) {
+                            site(f, at, SiteKind::Use);
+                        }
+                    }
+                    _ => {}
+                }
+            }
+        }
+        FieldSites { sites }
+    }
+
+    /// EQ 1 under `hot`: the fields scoring at least `cfg.min_score`, best
+    /// first. Each field's use and assignment sums accumulate site by site
+    /// in bytecode order.
+    pub fn scores(
+        &self,
+        program: &Program,
+        hot: &HotMethodReport,
+        cfg: &AnalysisConfig,
+    ) -> Vec<FieldScore> {
+        let mut uses: HashMap<FieldId, f64> = HashMap::new();
+        let mut assigns: HashMap<FieldId, f64> = HashMap::new();
+        for s in &self.sites {
+            let h = hot.hotness.get(s.method).copied().unwrap_or(0.0);
+            match s.kind {
+                SiteKind::Use => {
+                    if h >= cfg.min_method_hotness {
+                        *uses.entry(s.field).or_insert(0.0) += s.depth * h;
+                    }
+                }
+                SiteKind::Assign => {
+                    *assigns.entry(s.field).or_insert(0.0) += s.depth * h.max(1e-6);
+                }
+            }
+        }
+
+        let mut out: Vec<FieldScore> = uses
+            .into_iter()
+            .map(|(field, u)| {
+                let a = assigns.get(&field).copied().unwrap_or(0.0);
+                FieldScore {
+                    field,
+                    owner: program.field(field).owner,
+                    score: u - cfg.r * a,
+                }
+            })
+            .filter(|fs| fs.score >= cfg.min_score)
+            .collect();
+        out.sort_by(|a, b| b.score.partial_cmp(&a.score).unwrap().then(a.field.cmp(&b.field)));
+        out
+    }
+
+    /// The fields [`Self::scores`] can return under *any* hotness that is a
+    /// cycle share (`h ≥ 0`, `Σh ≤ 1`, as [`HotMethodReport::from_vm`]
+    /// gives) — the fields a profiling run must watch before hotness is
+    /// known.
+    ///
+    /// Let `U_m(f)` and `A_m(f)` be the depth sums of `f`'s use and
+    /// assignment sites inside method `m`. EQ 1's use term is at most
+    /// `Σ h_m·U_m` (the hotness gate only drops terms) and, for `R ≥ 0`,
+    /// its assignment term is at least `R·Σ h_m·A_m` (`max(h, 1e-6) ≥ h`).
+    /// So `V(f) ≤ Σ h_m·(U_m − R·A_m) ≤ max(0, max_m (U_m − R·A_m))`, and
+    /// with `min_score > 0` a field whose per-method maximum stays below
+    /// `min_score` can never score. Otherwise (`R < 0` or `min_score ≤ 0`)
+    /// every field with a branch use is watched.
+    pub fn watch_set(&self, cfg: &AnalysisConfig) -> HashSet<FieldId> {
+        let used: HashSet<FieldId> = self
+            .sites
+            .iter()
+            .filter(|s| s.kind == SiteKind::Use)
+            .map(|s| s.field)
+            .collect();
+        if !(cfg.r >= 0.0 && cfg.min_score > 0.0) {
+            return used;
+        }
+        // `U_m − R·A_m` per (field, method).
+        let mut balance: HashMap<(FieldId, usize), f64> = HashMap::new();
+        for s in &self.sites {
+            let w = match s.kind {
+                SiteKind::Use => s.depth,
+                SiteKind::Assign => -cfg.r * s.depth,
+            };
+            *balance.entry((s.field, s.method)).or_insert(0.0) += w;
+        }
+        balance
+            .into_iter()
+            .filter(|&((f, _), b)| used.contains(&f) && b >= cfg.min_score - WATCH_SLACK)
+            .map(|((f, _), _)| f)
+            .collect()
+    }
+}
+
 /// Runs EQ 1 over the whole program; returns fields scoring at least
 /// `cfg.min_score`, best first.
 pub fn find_state_fields(
@@ -83,90 +273,7 @@ pub fn find_state_fields(
     hot: &HotMethodReport,
     cfg: &AnalysisConfig,
 ) -> Vec<FieldScore> {
-    let mut uses: HashMap<FieldId, f64> = HashMap::new();
-    let mut assigns: HashMap<FieldId, f64> = HashMap::new();
-
-    for (mi, md) in program.methods.iter().enumerate() {
-        if md.code.is_empty() {
-            continue;
-        }
-        let h = hot.hotness.get(mi).copied().unwrap_or(0.0);
-        let nesting = loop_nesting(&md.code);
-        // Taint: which register currently holds which field's value.
-        let mut taint: HashMap<Reg, FieldId> = HashMap::new();
-        for (at, instr) in md.code.iter().enumerate() {
-            let depth = (nesting.nesting[at] + 1) as f64;
-            match instr {
-                Instr::Op(op) => {
-                    // Branch uses: a compare consuming a field-tainted reg.
-                    match op {
-                        Op::ICmp { a, b, .. } | Op::DCmp { a, b, .. } => {
-                            for r in [a, b] {
-                                if let Some(&f) = taint.get(r) {
-                                    if h >= cfg.min_method_hotness {
-                                        *uses.entry(f).or_insert(0.0) += depth * h;
-                                    }
-                                }
-                            }
-                        }
-                        Op::PutField { field, .. } | Op::PutStatic { field, .. }
-                            // Constructor self-initialization is expected and
-                            // cheap; the paper's "assignment in a cold
-                            // function" penalty targets steady-state writes.
-                            if md.kind != MethodKind::Constructor => {
-                                *assigns.entry(*field).or_insert(0.0) += depth * h.max(1e-6);
-                            }
-                        _ => {}
-                    }
-                    // Taint transfer.
-                    match op {
-                        Op::GetField { dst, field, .. } | Op::GetStatic { dst, field } => {
-                            taint.insert(*dst, *field);
-                        }
-                        Op::Mov { dst, src } => {
-                            match taint.get(src).copied() {
-                                Some(f) => {
-                                    taint.insert(*dst, f);
-                                }
-                                None => {
-                                    taint.remove(dst);
-                                }
-                            }
-                        }
-                        _ => {
-                            if let Some(d) = op.def() {
-                                taint.remove(&d);
-                            }
-                        }
-                    }
-                }
-                Instr::BrIf { cond, .. } => {
-                    // Direct branch on a (boolean) field value.
-                    if let Some(&f) = taint.get(cond) {
-                        if h >= cfg.min_method_hotness {
-                            *uses.entry(f).or_insert(0.0) += depth * h;
-                        }
-                    }
-                }
-                _ => {}
-            }
-        }
-    }
-
-    let mut out: Vec<FieldScore> = uses
-        .into_iter()
-        .map(|(field, u)| {
-            let a = assigns.get(&field).copied().unwrap_or(0.0);
-            FieldScore {
-                field,
-                owner: program.field(field).owner,
-                score: u - cfg.r * a,
-            }
-        })
-        .filter(|fs| fs.score >= cfg.min_score)
-        .collect();
-    out.sort_by(|a, b| b.score.partial_cmp(&a.score).unwrap().then(a.field.cmp(&b.field)));
-    out
+    FieldSites::collect(program).scores(program, hot, cfg)
 }
 
 /// True if `method` reads `field` anywhere in its body.
@@ -210,8 +317,17 @@ pub fn build_plan(
     values: &ValueReport,
     cfg: &AnalysisConfig,
 ) -> MutationPlan {
-    let scored = find_state_fields(program, hot, cfg);
+    plan_from_scores(program, find_state_fields(program, hot, cfg), values, cfg)
+}
 
+/// [`build_plan`] from already-computed EQ 1 scores (the
+/// [`FieldSites::scores`] of the same hotness and config).
+pub(crate) fn plan_from_scores(
+    program: &Program,
+    scored: Vec<FieldScore>,
+    values: &ValueReport,
+    cfg: &AnalysisConfig,
+) -> MutationPlan {
     // Attribute each state field to the classes whose *own* methods depend
     // on it: instance fields to subclasses of the owner reading through
     // `this` (those reads specialize), static fields to any class with a

@@ -602,9 +602,8 @@ impl MutationHandler for MutationEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analysis::{build_plan, AnalysisConfig};
+    use crate::pipeline::{prepare, PipelineConfig};
     use dchm_bytecode::{CmpOp, MethodSig, ProgramBuilder, Ty};
-    use dchm_profile::{profile_field_values, profile_hot_methods};
 
     /// The paper's Figure 2 program, sized down: SalaryEmployee.raise()
     /// branches 4 ways on `grade`; main loops raise() over an array of
@@ -742,25 +741,14 @@ mod tests {
     }
 
     fn engine_for(p: &dchm_bytecode::Program) -> MutationEngine {
-        let hot = profile_hot_methods(p.clone(), fast_config(), |vm| {
+        let cfg = PipelineConfig {
+            profile_vm: fast_config(),
+            ..Default::default()
+        };
+        let prepared = prepare(p.clone(), &cfg, |vm| {
             vm.run_entry().unwrap();
         });
-        let cfg = AnalysisConfig::default();
-        let cands = crate::analysis::find_state_fields(p, &hot, &cfg);
-        let values = profile_field_values(
-            p.clone(),
-            fast_config(),
-            cands.iter().map(|c| c.field),
-            |vm| {
-                vm.run_entry().unwrap();
-            },
-        );
-        let plan = build_plan(p, &hot, &values, &cfg);
-        let olc = crate::olc::analyze_olc(
-            p,
-            Some(&plan.classes.iter().map(|c| c.class).collect()),
-        );
-        MutationEngine::new(plan, olc)
+        MutationEngine::new(prepared.plan, prepared.olc)
     }
 
     #[test]

@@ -1,18 +1,31 @@
 //! The end-to-end offline pipeline (paper Figure 3):
 //!
-//! 1. identify hot methods (profiling run #1),
+//! 1. identify hot methods and
 //! 2. derive state fields for hot classes (EQ 1 static analysis),
-//! 3. find hot states (profiling run #2 with value sampling),
+//! 3. find hot states by sampling the state fields' values,
 //! 4. run object-lifetime-constant analysis,
 //! 5. feed everything into a fresh VM at startup.
+//!
+//! The paper profiles twice, because step 2 needs the hotness of step 1
+//! before step 3 knows which fields to sample. Here one profiling run
+//! serves steps 1 and 3: before it, one walk over the bytecode collects
+//! every EQ 1 site ([`FieldSites`]), and the simplex bound of
+//! [`FieldSites::watch_set`] names every field that could score under
+//! *any* cycle-share hotness. The run watches that superset; afterwards
+//! EQ 1 under the measured hotness picks the candidates, and the value
+//! report is cut down to them. The value observer is host-only, so the
+//! run's hotness equals an unobserved run's, and the plan is bit-identical
+//! to the two-run path (`profile_hot_methods` → `find_state_fields` →
+//! `profile_field_values` → `build_plan`).
 
-use crate::analysis::{build_plan, find_state_fields, AnalysisConfig};
+use crate::analysis::{plan_from_scores, AnalysisConfig, FieldSites};
 use crate::engine::MutationEngine;
 use crate::olc::{analyze_olc, OlcReport};
 use crate::plan::MutationPlan;
 use dchm_bytecode::Program;
-use dchm_profile::{profile_field_values, profile_hot_methods, HotMethodReport};
+use dchm_profile::{profile_run, HotMethodReport};
 use dchm_vm::{SharedCodeCache, Vm, VmConfig};
+use std::collections::HashSet;
 use std::sync::Arc;
 
 /// Pipeline configuration.
@@ -20,7 +33,7 @@ use std::sync::Arc;
 pub struct PipelineConfig {
     /// Static-analysis tunables (EQ 1 parameters, state caps).
     pub analysis: AnalysisConfig,
-    /// VM configuration used for the two profiling runs.
+    /// VM configuration of the profiling run.
     pub profile_vm: VmConfig,
 }
 
@@ -33,7 +46,7 @@ pub struct Prepared {
     pub plan: MutationPlan,
     /// Object-lifetime-constant analysis results.
     pub olc: OlcReport,
-    /// Hot-method profile from run #1 (diagnostics).
+    /// Hot-method profile of the profiling run (diagnostics).
     pub hot: HotMethodReport,
 }
 
@@ -63,25 +76,23 @@ impl Prepared {
     }
 }
 
-/// Runs the offline pipeline. `driver` runs the workload on a profiling VM
-/// and is invoked twice (hot-method run, value-sampling run).
+/// Runs the offline pipeline. `driver` runs the workload on the profiling
+/// VM and is invoked once: that run gives both the method hotness and the
+/// values of every field EQ 1 could select (see the module docs).
 pub fn prepare(
     program: Program,
     cfg: &PipelineConfig,
-    driver: impl Fn(&mut Vm),
+    driver: impl FnOnce(&mut Vm),
 ) -> Prepared {
-    // Step 1: hot methods.
-    let hot = profile_hot_methods(program.clone(), cfg.profile_vm.clone(), &driver);
-    // Step 2: candidate state fields.
-    let candidates = find_state_fields(&program, &hot, &cfg.analysis);
-    // Step 3: value sampling on the candidates.
-    let values = profile_field_values(
-        program.clone(),
-        cfg.profile_vm.clone(),
-        candidates.iter().map(|c| c.field),
-        &driver,
-    );
-    let plan = build_plan(&program, &hot, &values, &cfg.analysis);
+    let sites = FieldSites::collect(&program);
+    let watch = sites.watch_set(&cfg.analysis);
+    // Steps 1 and 3: one run, watching a superset of the candidates.
+    let (hot, mut values) = profile_run(program.clone(), cfg.profile_vm.clone(), watch, driver);
+    // Step 2: candidate state fields under the measured hotness.
+    let candidates = sites.scores(&program, &hot, &cfg.analysis);
+    // Keep what a run watching only the candidates would have recorded.
+    values.retain_fields(&candidates.iter().map(|c| c.field).collect::<HashSet<_>>());
+    let plan = plan_from_scores(&program, candidates, &values, &cfg.analysis);
     // Step 4: OLC analysis restricted to the mutable classes.
     let targets = plan.classes.iter().map(|c| c.class).collect();
     let olc = analyze_olc(&program, Some(&targets));

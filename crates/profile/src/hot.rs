@@ -61,18 +61,14 @@ impl HotMethodReport {
     }
 }
 
-/// Runs `driver` on a fresh mutation-off VM and reports method hotness.
-///
-/// The driver receives the VM and runs the workload (usually
-/// `vm.run_entry()` or a sequence of `call_static`s).
+/// Runs `driver` on a fresh mutation-off VM and reports method hotness:
+/// [`crate::profile_run`] watching no fields.
 pub fn profile_hot_methods(
     program: Program,
     config: VmConfig,
     driver: impl FnOnce(&mut Vm),
 ) -> HotMethodReport {
-    let mut vm = Vm::new(program, config);
-    driver(&mut vm);
-    HotMethodReport::from_vm(&vm)
+    crate::profile_run(program, config, [], driver).0
 }
 
 #[cfg(test)]

@@ -96,6 +96,13 @@ impl ValueReport {
         *self.by_class.entry((class, field)).or_insert(0) += count;
     }
 
+    /// Drops every histogram and class count of a field outside `keep`:
+    /// what a run watching only `keep` would have recorded.
+    pub fn retain_fields(&mut self, keep: &HashSet<FieldId>) {
+        self.fields.retain(|f, _| keep.contains(f));
+        self.by_class.retain(|(_, f), _| keep.contains(f));
+    }
+
     /// Records an observation of a static field (heap census).
     pub fn add_static(&mut self, field: FieldId, value: Value, count: u64) {
         self.fields.entry(field).or_default().add(value, count);
@@ -145,19 +152,15 @@ impl VmObserver for ValueProfiler {
     }
 }
 
-/// Runs `driver` with a value profiler attached and returns the report.
+/// Runs `driver` with a value profiler attached and returns the report:
+/// [`crate::profile_run`] keeping only the value report.
 pub fn profile_field_values(
     program: Program,
     config: VmConfig,
     fields: impl IntoIterator<Item = FieldId>,
     driver: impl FnOnce(&mut Vm),
 ) -> ValueReport {
-    let profiler = ValueProfiler::new(fields);
-    let report_handle = profiler.clone();
-    let mut vm = Vm::new(program, config);
-    vm.attach_observer(Box::new(profiler));
-    driver(&mut vm);
-    report_handle.report()
+    crate::profile_run(program, config, fields, driver).1
 }
 
 #[cfg(test)]
