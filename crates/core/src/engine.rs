@@ -260,10 +260,9 @@ impl MutationEngine {
                 to_recompile.push((mid, level));
             }
         }
-        // One batch: the compiler pipelines run on worker threads while
-        // billing/installation stay serial in method order, so the result
+        // One batch, billed and installed in method order, so the result
         // is bit-identical to recompiling one method at a time. In a fleet
-        // the batch probes the shared artifact cache first, so tenants past
+        // each job probes the shared artifact cache first, so tenants past
         // the first skip these pipelines entirely (same bit-identity: the
         // shared artifacts are what the pipelines would produce).
         vm.state.recompile_batch(&to_recompile);
@@ -485,8 +484,8 @@ impl MutationEngine {
             )
         };
         // Batch the per-state fan-out: all specializations of this method
-        // compile in one parallel session (mirroring the paper's "generated
-        // at the same time"), with billing kept serial in state order.
+        // are requested together (the paper's "generated at the same
+        // time"), coalesced through the caches and billed in state order.
         let mut reqs = Vec::new();
         let mut targets = Vec::new();
         for (s, st) in states.iter().enumerate() {

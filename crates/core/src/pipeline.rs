@@ -61,8 +61,7 @@ impl Prepared {
     /// compile-artifact cache right after engine attach. Attach installs
     /// patch points but compiles nothing, so the cache observes every
     /// compile of the subsequent run — including the engine's batched
-    /// special-version installs, which probe it before spinning up compile
-    /// workers.
+    /// special-version installs, which probe it before running a pipeline.
     pub fn make_vm_shared(&self, config: VmConfig, shared: &Arc<SharedCodeCache>) -> Vm {
         let mut vm = self.make_vm(config);
         vm.state.attach_shared_cache(Arc::clone(shared));

@@ -35,7 +35,8 @@ pub enum RunError {
         /// Human-readable method name.
         method: String,
     },
-    /// A selector could not be dispatched on the receiver's class.
+    /// A selector could not be dispatched on the receiver's class, or a
+    /// host call named no static method of the given arity.
     NoSuchMethod {
         /// Human-readable description.
         what: String,

@@ -152,21 +152,36 @@ impl Vm {
     ///
     /// # Errors
     /// Propagates any trap raised during execution;
-    /// [`RunError::Poisoned`] when an earlier run was contained.
+    /// [`RunError::Poisoned`] when an earlier run was contained;
+    /// [`RunError::NoSuchMethod`] when `mid` names no static method of the
+    /// program or `args` does not match its parameter count (nothing runs
+    /// and the VM is not poisoned).
     ///
     /// # Panics
-    /// Panics if called re-entrantly (frames not empty) or if `mid` is not
-    /// a static method.
+    /// Panics if called re-entrantly (frames not empty).
     pub fn call_static(&mut self, mid: MethodId, args: &[Value]) -> Result<Option<Value>, RunError> {
         if self.state.poisoned {
             return Err(RunError::Poisoned);
         }
         assert!(self.state.frames.is_empty(), "re-entrant call_static");
-        assert_eq!(
-            self.state.program.method(mid).kind,
-            MethodKind::Static,
-            "call_static target must be static"
-        );
+        let md = match self.state.program.methods.get(mid.index()) {
+            Some(md) if md.kind == MethodKind::Static => md,
+            _ => {
+                return Err(RunError::NoSuchMethod {
+                    what: format!("call_static: no static method with id {}", mid.0),
+                })
+            }
+        };
+        if args.len() != md.arg_count() {
+            return Err(RunError::NoSuchMethod {
+                what: format!(
+                    "call_static: {} takes {} argument(s), got {}",
+                    md.name,
+                    md.arg_count(),
+                    args.len()
+                ),
+            });
+        }
         if let Some(limit) = self.state.config.max_frame_depth {
             if limit == 0 {
                 return Err(RunError::StackOverflow { depth: 1, limit });

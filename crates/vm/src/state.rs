@@ -21,8 +21,7 @@ use dchm_ir::{Function, LiftCache};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::rc::Rc;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Identifies a compiled method in the code store.
@@ -430,10 +429,11 @@ pub struct VmState {
     /// shared by the general version and every state specialization, and
     /// hash-consed across structurally identical methods.
     pub lift_cache: LiftCache,
-    /// Host wall-clock nanoseconds spent inside the compiler pipeline.
-    /// *Not* modeled time — benchmarks read it to measure what the code
-    /// cache and batched compilation actually save on the host. Strictly
-    /// zero when every compile request of a run was answered by a cache.
+    /// Host wall-clock nanoseconds this VM's thread spent in the compiler
+    /// pipeline, baseline lift included, on every compile path (single
+    /// request or batch). *Not* modeled time — benchmarks read it to
+    /// measure what the caches save on the host. Exactly zero when every
+    /// compile request of a run was answered by a cache.
     pub compile_wall_nanos: u64,
     /// Fleet-wide shared artifact cache; `None` outside a fleet. Probed by
     /// every compile path after the local [`CodeCache`], purely host-side:
@@ -1074,22 +1074,20 @@ impl VmState {
         }
     }
 
-    /// Compiles a batch of requests, coalescing duplicates through the code
-    /// cache and running the compiler pipelines of the remaining jobs on
-    /// worker threads. Billing, statistics, installation and trace stamps
-    /// happen serially in request order, so every modeled observable is
-    /// bit-identical to issuing the requests one by one; only host wall
-    /// time changes. Returns one result per request, in order; `None`
-    /// marks a failed or quarantined compile (the caller keeps whatever
-    /// code it had).
+    /// Compiles a batch of requests on the calling thread, coalescing
+    /// duplicates through the code cache and probing the fleet's shared
+    /// store once per remaining job. Billing, statistics, installation and
+    /// trace stamps happen in request order, so every modeled observable is
+    /// bit-identical to issuing the requests one by one. Returns one result
+    /// per request, in order; `None` marks a failed or quarantined compile
+    /// (the caller keeps whatever code it had).
     pub fn compile_batch(&mut self, reqs: Vec<CompileRequest>) -> Vec<Option<CompiledId>> {
         self.compile_batch_impl(reqs, false)
     }
 
-    /// Batched [`Self::recompile`]: compiles every `(method, level)` pair
-    /// (pipelines parallelized on worker threads), then installs and
-    /// bills serially in request order — the same interleaving the serial
-    /// recompile loop produces. Failed compiles tier down like
+    /// Batched [`Self::recompile`]: compiles every `(method, level)` pair,
+    /// then installs and bills in request order — the same interleaving
+    /// the one-by-one recompile loop produces. Failed compiles tier down like
     /// [`Self::recompile`], so every request yields code.
     pub fn recompile_batch(&mut self, reqs: &[(MethodId, u8)]) -> Vec<CompiledId> {
         let reqs = reqs
@@ -1191,95 +1189,17 @@ impl VmState {
             }
         }
 
-        // Phase B — produce the artifacts. The fleet's shared cache (when
-        // attached) is probed serially first; jobs it answers skip the
-        // compiler entirely. Baselines for the remaining jobs are memoized
-        // on the VM thread (the lift cache is not thread-safe); the
-        // pipelines — pure functions of the `Sync` compile environment —
-        // run on workers. Only the compile section is wall-timed, and only
-        // when at least one job actually compiles, so a fully cache-fed
-        // batch adds exactly zero wall nanoseconds.
-        let scope = SharedCodeCache::scope_of(self.program_fp, env_fp);
-        let mut artifacts: Vec<Option<SharedArtifact>> = vec![None; jobs.len()];
-        if let Some(sc) = self.shared_cache.clone() {
-            for (j, &ri) in jobs.iter().enumerate() {
-                let r = &reqs[ri];
-                let fp = binding_fingerprint(r.bindings.as_ref());
-                match sc.probe(scope, r.method.0, r.level, fp) {
-                    Some(a) => {
-                        self.shared_hits += 1;
-                        artifacts[j] = Some(a);
-                    }
-                    None => self.shared_misses += 1,
-                }
-            }
-        }
-        let to_compile: Vec<usize> = (0..jobs.len()).filter(|&j| artifacts[j].is_none()).collect();
-        let mut baselines: Vec<Arc<Function>> = Vec::with_capacity(to_compile.len());
-        for &j in &to_compile {
-            let b = self.baseline_for(reqs[jobs[j]].method, env_fp);
-            baselines.push(b);
-        }
-        if !to_compile.is_empty() {
-            let wall = Instant::now();
-            let mut outcomes: Vec<Option<compiler::CompileOutcome>>;
-            {
-                let env = compiler::CompileEnv::of(self);
-                let threads = rayon::current_num_threads().min(to_compile.len());
-                if to_compile.len() < 2 || threads < 2 {
-                    outcomes = Vec::with_capacity(to_compile.len());
-                    for (k, &j) in to_compile.iter().enumerate() {
-                        let r = &reqs[jobs[j]];
-                        outcomes.push(Some(compiler::compile_in(
-                            &env,
-                            &baselines[k],
-                            r.method,
-                            r.level,
-                            r.bindings.as_ref(),
-                        )));
-                    }
-                } else {
-                    // A shared work index keeps workers busy regardless of
-                    // how uneven individual compile times are.
-                    let next = AtomicUsize::new(0);
-                    let out: Mutex<Vec<Option<compiler::CompileOutcome>>> =
-                        Mutex::new((0..to_compile.len()).map(|_| None).collect());
-                    rayon::scope(|s| {
-                        for _ in 0..threads {
-                            s.spawn(|_| loop {
-                                let k = next.fetch_add(1, Ordering::Relaxed);
-                                if k >= to_compile.len() {
-                                    break;
-                                }
-                                let r = &reqs[jobs[to_compile[k]]];
-                                let o = compiler::compile_in(
-                                    &env,
-                                    &baselines[k],
-                                    r.method,
-                                    r.level,
-                                    r.bindings.as_ref(),
-                                );
-                                out.lock().expect("compile worker poisoned")[k] = Some(o);
-                            });
-                        }
-                    });
-                    outcomes = out.into_inner().expect("compile worker poisoned");
-                }
-            }
-            self.compile_wall_nanos += wall.elapsed().as_nanos() as u64;
-            // Metadata derivation and shared publication stay outside the
-            // wall timer, as on the serial path.
-            for (k, &j) in to_compile.iter().enumerate() {
-                let outcome = outcomes[k].take().expect("job compiled exactly once");
-                let a = Self::artifact_of(outcome);
-                if let Some(sc) = &self.shared_cache {
-                    let r = &reqs[jobs[j]];
-                    let fp = binding_fingerprint(r.bindings.as_ref());
-                    sc.insert(scope, r.method.0, r.level, fp, a.clone());
-                }
-                artifacts[j] = Some(a);
-            }
-        }
+        // Phase B — produce the artifacts on this thread, one job at a time,
+        // through the same shared-store probe → pipeline → publish sequence
+        // a single request takes. Pure host work: nothing is billed here.
+        let mut artifacts: Vec<Option<SharedArtifact>> = jobs
+            .iter()
+            .map(|&i| {
+                let r = &reqs[i];
+                let binding_fp = binding_fingerprint(r.bindings.as_ref());
+                Some(self.produce_artifact(r.method, r.level, r.bindings.as_ref(), binding_fp, env_fp))
+            })
+            .collect();
 
         // Phase C — serial, in request order: bill, store, trace-stamp and
         // (for recompiles) install, replicating the serial loop exactly.

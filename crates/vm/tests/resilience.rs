@@ -20,7 +20,7 @@
 // bodies need headroom.
 #![recursion_limit = "1024"]
 
-use dchm_bytecode::{CmpOp, MethodSig, Program, ProgramBuilder, Ty, Value};
+use dchm_bytecode::{CmpOp, MethodId, MethodSig, Program, ProgramBuilder, Ty, Value};
 use dchm_testutil::{
     attach_plan, find_workload, harness_config, observe, prepare_workload, storm_config,
     storm_salarydb, Obs,
@@ -399,6 +399,43 @@ fn zero_frame_budget_refuses_entry() {
         vm.run_entry(),
         Err(RunError::StackOverflow { limit: 0, .. })
     ));
+}
+
+/// Host misuse of `call_static` is refused before anything runs: an id
+/// outside the program, a non-static target and a wrong argument count are
+/// each a typed `NoSuchMethod`, and the VM stays usable.
+#[test]
+fn call_static_misuse_is_a_typed_error() {
+    let mut pb = ProgramBuilder::new();
+    let c = pb.class("C").build();
+    pb.trivial_ctor(c);
+    let mut m = pb.method(c, "get", MethodSig::new(vec![], Some(Ty::Int)));
+    let one = m.imm(1);
+    m.ret(Some(one));
+    let get = m.build();
+    let mut m = pb.static_method(c, "inc", MethodSig::new(vec![Ty::Int], Some(Ty::Int)));
+    let x = m.param(0);
+    m.iadd_imm(x, x, 1);
+    m.ret(Some(x));
+    let inc = m.build();
+    let p = pb.finish().unwrap();
+    let bogus = MethodId(p.methods.len() as u32);
+    let mut vm = Vm::new(p, VmConfig::default());
+
+    let misuse: [(MethodId, &[Value]); 4] = [
+        (bogus, &[]),
+        (get, &[]),
+        (inc, &[Value::Int(1); 8]),
+        (inc, &[]),
+    ];
+    for (mid, args) in misuse {
+        match vm.call_static(mid, args) {
+            Err(RunError::NoSuchMethod { .. }) => {}
+            other => panic!("{mid:?} with {} args: expected NoSuchMethod, got {other:?}", args.len()),
+        }
+        assert!(!vm.state.poisoned, "nothing ran, so nothing is suspect");
+    }
+    assert_eq!(vm.call_static(inc, &[Value::Int(41)]), Ok(Some(Value::Int(42))));
 }
 
 /// SalaryDB from the real catalog survives a forced-guard-fail storm with

@@ -1,29 +1,18 @@
 #![warn(missing_docs)]
 
-//! Offline shim for the slice of `rayon` the batched compiler uses:
-//! [`scope`], [`Scope::spawn`], [`join`] and [`current_num_threads`].
+//! Offline shim for the slice of `rayon` the fleet executor (`vm::fleet`)
+//! uses: [`scope`] and [`Scope::spawn`].
 //!
 //! The build environment has no crates.io access, so this maps the API onto
 //! `std::thread::scope`. Two deliberate divergences from real rayon:
 //!
 //! * there is no work-stealing pool — every `spawn` is an OS thread, so
 //!   callers should spawn a few long-lived workers that pull from a shared
-//!   queue rather than one task per item (which is what the VM's batch
-//!   compiler does anyway);
+//!   queue rather than one task per item (which is what the fleet does);
 //! * `Scope` carries the extra `'env` lifetime `std::thread::scope`
 //!   requires; rayon's single-lifetime `Scope<'scope>` is strictly more
 //!   permissive, so code written against this shim also compiles against
 //!   real rayon, not necessarily vice versa.
-
-use std::num::NonZeroUsize;
-
-/// Number of worker threads a parallel section may profitably use
-/// (`std::thread::available_parallelism`, 1 when unknown).
-pub fn current_num_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(NonZeroUsize::get)
-        .unwrap_or(1)
-}
 
 /// A scope handle that can spawn borrowing tasks; all tasks are joined
 /// before [`scope`] returns.
@@ -56,21 +45,6 @@ where
     std::thread::scope(|s| op(&Scope { inner: s }))
 }
 
-/// Runs both closures, potentially in parallel, returning both results.
-pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
-where
-    A: FnOnce() -> RA + Send,
-    B: FnOnce() -> RB + Send,
-    RA: Send,
-    RB: Send,
-{
-    std::thread::scope(|s| {
-        let hb = s.spawn(b);
-        let ra = a();
-        (ra, hb.join().expect("join: task panicked"))
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -101,16 +75,5 @@ mod tests {
             });
         });
         assert_eq!(counter.load(Ordering::Relaxed), 2);
-    }
-
-    #[test]
-    fn join_returns_both() {
-        let (a, b) = join(|| 2 + 2, || "ok");
-        assert_eq!((a, b), (4, "ok"));
-    }
-
-    #[test]
-    fn at_least_one_thread() {
-        assert!(current_num_threads() >= 1);
     }
 }
