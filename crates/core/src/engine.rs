@@ -237,7 +237,10 @@ impl MutationEngine {
         let spec = vm.state.patch_spec.clone();
         let mutable: std::collections::HashSet<MethodId> =
             self.method_index.keys().copied().collect();
-        let mut to_recompile: Vec<(MethodId, u8)> = Vec::new();
+        // Recompiled in method order. In a fleet each request probes the
+        // shared artifact cache first, so tenants past the first skip these
+        // pipelines entirely (bit-identically: the shared artifacts are what
+        // the pipelines would produce).
         for (mi, md) in program.methods.iter().enumerate() {
             let mid = MethodId::from_index(mi);
             let Some(level) = vm.state.level_of(mid) else {
@@ -257,15 +260,9 @@ impl MutationEngine {
                     )
                 });
             if needs {
-                to_recompile.push((mid, level));
+                vm.state.recompile(mid, level);
             }
         }
-        // One batch, billed and installed in method order, so the result
-        // is bit-identical to recompiling one method at a time. In a fleet
-        // each job probes the shared artifact cache first, so tenants past
-        // the first skip these pipelines entirely (same bit-identity: the
-        // shared artifacts are what the pipelines would produce).
-        vm.state.recompile_batch(&to_recompile);
         // Deliver the recompilation events to ourselves (we are not the
         // handler yet), generating specials for hot methods.
         for (mid, level) in vm.state.take_recompile_events() {
@@ -483,11 +480,8 @@ impl MutationEngine {
                 rt.states.clone(),
             )
         };
-        // Batch the per-state fan-out: all specializations of this method
-        // are requested together (the paper's "generated at the same
-        // time"), coalesced through the caches and billed in state order.
-        let mut reqs = Vec::new();
-        let mut targets = Vec::new();
+        // All specializations of this method are generated together (the
+        // paper's "generated at the same time"), billed in state order.
         for (s, st) in states.iter().enumerate() {
             let mut b = Bindings::default();
             if !is_static {
@@ -503,19 +497,10 @@ impl MutationEngine {
             if !vm.special_request_allowed(method, &b) {
                 continue;
             }
-            reqs.push(dchm_vm::CompileRequest {
-                method,
-                level,
-                bindings: Some(b),
-            });
-            targets.push(s);
-        }
-        let cids = vm.compile_batch(reqs);
-        for (s, cid) in targets.into_iter().zip(cids) {
             // A failed (fault-injected or quarantined) special compile
             // installs nothing; any earlier special version stays usable.
-            if cid.is_some() {
-                self.rt[ci].methods[mi].special[s] = cid;
+            if let Some(cid) = vm.compile_special(method, level, &b) {
+                self.rt[ci].methods[mi].special[s] = Some(cid);
             }
         }
     }

@@ -60,7 +60,7 @@ impl Prepared {
     /// [`Self::make_vm`] for a fleet tenant: attaches the fleet-wide shared
     /// compile-artifact cache right after engine attach. Attach installs
     /// patch points but compiles nothing, so the cache observes every
-    /// compile of the subsequent run — including the engine's batched
+    /// compile of the subsequent run — including the engine's
     /// special-version installs, which probe it before running a pipeline.
     pub fn make_vm_shared(&self, config: VmConfig, shared: &Arc<SharedCodeCache>) -> Vm {
         let mut vm = self.make_vm(config);

@@ -110,9 +110,8 @@ pub fn lift(code: &[Instr], num_regs: u16, arg_count: u16) -> Function {
 /// change to that fingerprint flushes the cache — the memoized functions
 /// would no longer match what a fresh lift-plus-instrument would produce.
 ///
-/// Entries are `Arc<Function>` so compilation pipelines (and other fleet
-/// tenants, through the shared store) can clone a handle and optimize a
-/// private copy while the shared baseline stays immutable.
+/// Entries are `Arc<Function>` so compilation pipelines can clone a handle
+/// and optimize a private copy while the memoized baseline stays immutable.
 #[derive(Debug, Default)]
 pub struct LiftCache {
     by_method: HashMap<u32, Arc<Function>>,
@@ -165,36 +164,6 @@ impl LiftCache {
         env_fp: u64,
         build: impl FnOnce() -> Function,
     ) -> Arc<Function> {
-        if let Some(f) = self.sync_and_lookup(method, env_fp) {
-            return f;
-        }
-        let built = Arc::new(build());
-        self.cons_and_insert(method, built)
-    }
-
-    /// Like [`Self::get_or_lift`], but the miss path *fetches* a function
-    /// that already lives behind an `Arc` — e.g. a baseline published in a
-    /// fleet-wide shared cache by another tenant — instead of building a
-    /// fresh one. The fetched allocation still goes through the
-    /// fingerprint-bucketed consing table, so a structurally equal function
-    /// this cache already holds is reused and the fetched one dropped
-    /// (keeping `consed` accounting identical to the build path).
-    pub fn get_or_adopt(
-        &mut self,
-        method: u32,
-        env_fp: u64,
-        fetch: impl FnOnce() -> Arc<Function>,
-    ) -> Arc<Function> {
-        if let Some(f) = self.sync_and_lookup(method, env_fp) {
-            return f;
-        }
-        let fetched = fetch();
-        self.cons_and_insert(method, fetched)
-    }
-
-    /// Environment sync + per-method lookup shared by the lift/adopt paths.
-    /// Counts the hit or the miss.
-    fn sync_and_lookup(&mut self, method: u32, env_fp: u64) -> Option<Arc<Function>> {
         if self.env_fp != Some(env_fp) {
             if self.env_fp.is_some() && !self.by_method.is_empty() {
                 self.flushes += 1;
@@ -204,15 +173,10 @@ impl LiftCache {
         }
         if let Some(f) = self.by_method.get(&method) {
             self.hits += 1;
-            return Some(Arc::clone(f));
+            return Arc::clone(f);
         }
         self.misses += 1;
-        None
-    }
-
-    /// Hash-conses `candidate` against the fingerprint buckets and memoizes
-    /// the surviving allocation for `method`.
-    fn cons_and_insert(&mut self, method: u32, candidate: Arc<Function>) -> Arc<Function> {
+        let candidate = Arc::new(build());
         let fp = candidate.fingerprint();
         let bucket = self.by_fingerprint.entry(fp).or_default();
         let shared = match bucket.iter().find(|c| ***c == *candidate) {
@@ -367,28 +331,6 @@ mod tests {
         assert!(Arc::ptr_eq(&a, &b));
         assert_eq!(cache.consed, 1);
         assert_eq!(cache.len(), 2);
-    }
-
-    #[test]
-    fn lift_cache_adopt_conses_against_local_entries() {
-        let (code, nregs) = body(|m| {
-            let r = m.reg();
-            m.const_i(r, 1);
-            m.ret(Some(r));
-        });
-        let mut cache = LiftCache::new();
-        let local = cache.get_or_lift(0, 7, || lift(&code, nregs, 1));
-        // Adopting a structurally equal function fetched from elsewhere
-        // (fresh allocation) for another method reuses the local Arc.
-        let foreign = Arc::new(lift(&code, nregs, 1));
-        let adopted = cache.get_or_adopt(1, 7, || Arc::clone(&foreign));
-        assert!(Arc::ptr_eq(&local, &adopted));
-        assert!(!Arc::ptr_eq(&foreign, &adopted));
-        assert_eq!(cache.consed, 1);
-        // Second adopt of the same method is a plain hit: fetch not called.
-        let again = cache.get_or_adopt(1, 7, || unreachable!("must hit"));
-        assert!(Arc::ptr_eq(&again, &adopted));
-        assert_eq!((cache.hits, cache.misses), (1, 2));
     }
 
     #[test]

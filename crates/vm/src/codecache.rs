@@ -21,6 +21,7 @@
 
 use crate::compiler::Fnv;
 use crate::state::CompiledId;
+use dchm_bytecode::{ClassDef, FieldDef, Instr, MethodDef, Op, Program, Ty};
 use dchm_ir::passes::Bindings;
 use std::collections::HashMap;
 
@@ -53,6 +54,156 @@ pub fn binding_fingerprint(bindings: Option<&Bindings>) -> u64 {
         }
     }
     h.finish()
+}
+
+/// Canonical fingerprint of a linked program: a walk over everything the
+/// compiler reads — classes, methods with their bytecode, fields, selectors,
+/// entry point — in id order. Two separately built copies of one program
+/// agree. `ClassDef::vslot` is skipped: it is derived from `vtable`, and as
+/// a `HashMap` it iterates in a different order in every copy. The walk
+/// destructures every definition, so a new field cannot be missed silently.
+pub fn program_fingerprint(p: &Program) -> u64 {
+    let Program { classes, methods, fields, selectors, entry, num_static_slots, children: _ } = p;
+    let mut h = Fnv::new();
+    h.mix_words(&[classes.len() as u64, methods.len() as u64, fields.len() as u64]);
+    for c in classes {
+        let ClassDef {
+            name,
+            package,
+            super_class,
+            interfaces,
+            is_interface,
+            methods,
+            fields,
+            vtable,
+            vslot: _,
+            instance_slots,
+            all_instance_fields,
+        } = c;
+        h.mix_str(name);
+        h.mix_str(package);
+        h.mix_u64(super_class.map_or(u64::MAX, |s| s.index() as u64));
+        h.mix_words(&[*is_interface as u64, *instance_slots as u64]);
+        mix_seq(&mut h, interfaces.iter().map(|i| i.index() as u64));
+        mix_seq(&mut h, methods.iter().map(|m| m.index() as u64));
+        mix_seq(&mut h, fields.iter().map(|f| f.index() as u64));
+        mix_seq(&mut h, vtable.iter().map(|m| m.index() as u64));
+        mix_seq(&mut h, all_instance_fields.iter().map(|f| f.index() as u64));
+    }
+    for m in methods {
+        let MethodDef { name, selector, owner, kind, visibility, sig, num_regs, code } = m;
+        h.mix_str(name);
+        h.mix_words(&[selector.index() as u64, owner.index() as u64]);
+        h.mix_words(&[*kind as u64, *visibility as u64, *num_regs as u64]);
+        h.mix_u64(sig.params.len() as u64);
+        sig.params.iter().for_each(|&t| mix_ty(&mut h, Some(t)));
+        mix_ty(&mut h, sig.ret);
+        h.mix_u64(code.len() as u64);
+        for i in code {
+            match i {
+                Instr::Op(op) => mix_op(&mut h, op),
+                Instr::Jmp(l) => h.mix_words(&[1, l.0 as u64]),
+                Instr::BrIf { cond, target } => h.mix_words(&[2, cond.0 as u64, target.0 as u64]),
+                Instr::Ret(r) => h.mix_words(&[3, r.map_or(u64::MAX, |r| r.0 as u64)]),
+            }
+        }
+    }
+    for f in fields {
+        let FieldDef { name, owner, ty, is_static, visibility, slot, initial } = f;
+        h.mix_str(name);
+        h.mix_u64(owner.index() as u64);
+        mix_ty(&mut h, Some(*ty));
+        h.mix_words(&[*is_static as u64, *visibility as u64, *slot as u64]);
+        h.mix_value(initial);
+    }
+    h.mix_u64(selectors.len() as u64);
+    selectors.iter().for_each(|s| h.mix_str(s));
+    h.mix_words(&[entry.map_or(u64::MAX, |m| m.index() as u64), *num_static_slots as u64]);
+    h.finish()
+}
+
+/// Folds a sequence in, length first.
+fn mix_seq(h: &mut Fnv, xs: impl ExactSizeIterator<Item = u64>) {
+    h.mix_u64(xs.len() as u64);
+    xs.for_each(|x| h.mix_u64(x));
+}
+
+fn mix_ty(h: &mut Fnv, t: Option<Ty>) {
+    match t {
+        None => h.mix_u64(0),
+        Some(Ty::Int) => h.mix_u64(1),
+        Some(Ty::Double) => h.mix_u64(2),
+        Some(Ty::Ref(c)) => h.mix_words(&[3, c.index() as u64]),
+        Some(Ty::Arr(k)) => h.mix_words(&[4, k as u64]),
+    }
+}
+
+/// Folds one op in: a distinct tag per variant, then every operand.
+fn mix_op(h: &mut Fnv, op: &Op) {
+    let r = |r: &dchm_bytecode::Reg| r.0 as u64;
+    let opt = |r: &Option<dchm_bytecode::Reg>| r.map_or(u64::MAX, |r| r.0 as u64);
+    let regs = |h: &mut Fnv, rs: &[dchm_bytecode::Reg]| mix_seq(h, rs.iter().map(|x| x.0 as u64));
+    let c = |c: &dchm_bytecode::ClassId| c.index() as u64;
+    let f = |f: &dchm_bytecode::FieldId| f.index() as u64;
+    match op {
+        Op::ConstI { dst, val } => h.mix_words(&[10, r(dst), *val as u64]),
+        Op::ConstD { dst, val } => h.mix_words(&[11, r(dst), val.to_bits()]),
+        Op::ConstNull { dst } => h.mix_words(&[12, r(dst)]),
+        Op::Mov { dst, src } => h.mix_words(&[13, r(dst), r(src)]),
+        Op::IBin { op, dst, a, b } => h.mix_words(&[14, *op as u64, r(dst), r(a), r(b)]),
+        Op::INeg { dst, a } => h.mix_words(&[15, r(dst), r(a)]),
+        Op::DBin { op, dst, a, b } => h.mix_words(&[16, *op as u64, r(dst), r(a), r(b)]),
+        Op::DNeg { dst, a } => h.mix_words(&[17, r(dst), r(a)]),
+        Op::I2D { dst, a } => h.mix_words(&[18, r(dst), r(a)]),
+        Op::D2I { dst, a } => h.mix_words(&[19, r(dst), r(a)]),
+        Op::ICmp { op, dst, a, b } => h.mix_words(&[20, *op as u64, r(dst), r(a), r(b)]),
+        Op::DCmp { op, dst, a, b } => h.mix_words(&[21, *op as u64, r(dst), r(a), r(b)]),
+        Op::RefEq { dst, a, b } => h.mix_words(&[22, r(dst), r(a), r(b)]),
+        Op::New { dst, class } => h.mix_words(&[23, r(dst), c(class)]),
+        Op::GetField { dst, obj, field } => h.mix_words(&[24, r(dst), r(obj), f(field)]),
+        Op::PutField { obj, field, src } => h.mix_words(&[25, r(obj), f(field), r(src)]),
+        Op::GetStatic { dst, field } => h.mix_words(&[26, r(dst), f(field)]),
+        Op::PutStatic { field, src } => h.mix_words(&[27, f(field), r(src)]),
+        Op::CallVirtual { dst, sel, obj, args } => {
+            h.mix_words(&[28, opt(dst), sel.index() as u64, r(obj)]);
+            regs(h, args);
+        }
+        Op::CallSpecial { dst, class, sel, obj, args } => {
+            h.mix_words(&[29, opt(dst), c(class), sel.index() as u64, r(obj)]);
+            regs(h, args);
+        }
+        Op::CallStatic { dst, method, args } => {
+            h.mix_words(&[30, opt(dst), method.index() as u64]);
+            regs(h, args);
+        }
+        Op::CallInterface { dst, iface, sel, obj, args } => {
+            h.mix_words(&[31, opt(dst), c(iface), sel.index() as u64, r(obj)]);
+            regs(h, args);
+        }
+        Op::InstanceOf { dst, obj, class } => h.mix_words(&[32, r(dst), r(obj), c(class)]),
+        Op::CheckCast { obj, class } => h.mix_words(&[33, r(obj), c(class)]),
+        Op::NewArr { dst, kind, len } => h.mix_words(&[34, r(dst), *kind as u64, r(len)]),
+        Op::ALoad { dst, arr, idx } => h.mix_words(&[35, r(dst), r(arr), r(idx)]),
+        Op::AStore { arr, idx, src } => h.mix_words(&[36, r(arr), r(idx), r(src)]),
+        Op::ALen { dst, arr } => h.mix_words(&[37, r(dst), r(arr)]),
+        Op::Intrinsic { dst, kind, args } => {
+            h.mix_words(&[38, opt(dst), *kind as u64]);
+            regs(h, args);
+        }
+        Op::NotifyCtorExit { obj, class } => h.mix_words(&[39, r(obj), c(class)]),
+        Op::NotifyInstStore { obj, class, field } => h.mix_words(&[40, r(obj), c(class), f(field)]),
+        Op::NotifyStaticStore { field } => h.mix_words(&[41, f(field)]),
+        Op::GuardState { obj, instance, statics, guard, live_prefix } => {
+            h.mix_words(&[42, opt(obj), *guard as u64, *live_prefix as u64]);
+            for binds in [instance, statics] {
+                h.mix_u64(binds.len() as u64);
+                for (field, v) in binds {
+                    h.mix_u64(f(field));
+                    h.mix_value(v);
+                }
+            }
+        }
+    }
 }
 
 #[derive(Clone, Copy, Debug)]
@@ -265,8 +416,6 @@ pub struct SharedCacheStats {
     pub evictions: u64,
     /// Artifacts currently mapped.
     pub entries: usize,
-    /// Baseline lifts currently mapped.
-    pub baselines: usize,
 }
 
 #[derive(Debug)]
@@ -274,12 +423,6 @@ struct SharedEntry {
     artifact: SharedArtifact,
     /// Logical access tick; atomic so probes only need the read lock.
     last_used: std::sync::atomic::AtomicU64,
-}
-
-#[derive(Debug, Default)]
-struct SharedMaps {
-    artifacts: HashMap<(u64, u32, u8, u64), SharedEntry>,
-    baselines: HashMap<(u64, u32), std::sync::Arc<dchm_ir::Function>>,
 }
 
 /// The fleet-wide, read-mostly compile-artifact cache shared by every shard.
@@ -300,7 +443,7 @@ struct SharedMaps {
 /// bit-identical to its solo twin.
 #[derive(Debug)]
 pub struct SharedCodeCache {
-    maps: std::sync::RwLock<SharedMaps>,
+    artifacts: std::sync::RwLock<HashMap<(u64, u32, u8, u64), SharedEntry>>,
     capacity: usize,
     tick: std::sync::atomic::AtomicU64,
     hits: std::sync::atomic::AtomicU64,
@@ -310,11 +453,10 @@ pub struct SharedCodeCache {
 }
 
 impl SharedCodeCache {
-    /// A cache holding at most `capacity` artifacts (0 disables it; the
-    /// baseline-lift map is unbounded — one small entry per method).
+    /// A cache holding at most `capacity` artifacts (0 disables it).
     pub fn new(capacity: usize) -> Self {
         SharedCodeCache {
-            maps: std::sync::RwLock::default(),
+            artifacts: std::sync::RwLock::default(),
             capacity,
             tick: Default::default(),
             hits: Default::default(),
@@ -339,8 +481,8 @@ impl SharedCodeCache {
         if self.capacity == 0 {
             return None;
         }
-        let maps = self.maps.read().expect("shared cache poisoned");
-        match maps.artifacts.get(&(scope, method, level, binding_fp)) {
+        let artifacts = self.artifacts.read().expect("shared cache poisoned");
+        match artifacts.get(&(scope, method, level, binding_fp)) {
             Some(e) => {
                 e.last_used
                     .store(self.tick.fetch_add(1, Relaxed) + 1, Relaxed);
@@ -363,23 +505,22 @@ impl SharedCodeCache {
         if self.capacity == 0 {
             return;
         }
-        let mut maps = self.maps.write().expect("shared cache poisoned");
+        let mut artifacts = self.artifacts.write().expect("shared cache poisoned");
         let key = (scope, method, level, binding_fp);
-        if maps.artifacts.contains_key(&key) {
+        if artifacts.contains_key(&key) {
             return;
         }
-        if maps.artifacts.len() >= self.capacity {
-            let victim = maps
-                .artifacts
+        if artifacts.len() >= self.capacity {
+            let victim = artifacts
                 .iter()
                 .min_by_key(|(k, e)| (e.last_used.load(Relaxed), **k))
                 .map(|(k, _)| *k);
             if let Some(v) = victim {
-                maps.artifacts.remove(&v);
+                artifacts.remove(&v);
                 self.evictions.fetch_add(1, Relaxed);
             }
         }
-        maps.artifacts.insert(
+        artifacts.insert(
             key,
             SharedEntry {
                 artifact,
@@ -389,32 +530,16 @@ impl SharedCodeCache {
         self.inserts.fetch_add(1, Relaxed);
     }
 
-    /// Looks up the shared baseline lift for `method` (uncounted: baseline
-    /// adoption is already tracked by each tenant's `LiftCache` counters).
-    pub fn baseline(&self, scope: u64, method: u32) -> Option<std::sync::Arc<dchm_ir::Function>> {
-        let maps = self.maps.read().expect("shared cache poisoned");
-        maps.baselines
-            .get(&(scope, method))
-            .map(std::sync::Arc::clone)
-    }
-
-    /// Publishes a baseline lift (first publisher wins).
-    pub fn publish_baseline(&self, scope: u64, method: u32, func: std::sync::Arc<dchm_ir::Function>) {
-        let mut maps = self.maps.write().expect("shared cache poisoned");
-        maps.baselines.entry((scope, method)).or_insert(func);
-    }
-
     /// Snapshot of the host-side counters and sizes.
     pub fn stats(&self) -> SharedCacheStats {
         use std::sync::atomic::Ordering::Relaxed;
-        let maps = self.maps.read().expect("shared cache poisoned");
+        let entries = self.artifacts.read().expect("shared cache poisoned").len();
         SharedCacheStats {
             hits: self.hits.load(Relaxed),
             misses: self.misses.load(Relaxed),
             inserts: self.inserts.load(Relaxed),
             evictions: self.evictions.load(Relaxed),
-            entries: maps.artifacts.len(),
-            baselines: maps.baselines.len(),
+            entries,
         }
     }
 }
@@ -448,6 +573,31 @@ mod tests {
             binding_fingerprint(None),
             "empty bindings are not general code"
         );
+    }
+
+    #[test]
+    fn program_fp_ignores_vslot_order_and_sees_code() {
+        use dchm_bytecode::{MethodSig, ProgramBuilder};
+        let build = |k: i64| {
+            let mut pb = ProgramBuilder::new();
+            let c = pb.class("C").build();
+            for name in ["f", "g", "h", "i"] {
+                let mut m = pb.method(c, name, MethodSig::new(vec![], Some(Ty::Int)));
+                let r = m.imm(k);
+                m.ret(Some(r));
+                m.build();
+            }
+            pb.trivial_ctor(c);
+            pb.finish().unwrap()
+        };
+        let a = build(7);
+        let mut b = build(7);
+        for c in &mut b.classes {
+            // A fresh map: same entries, its own iteration order.
+            c.vslot = c.vslot.iter().map(|(s, v)| (*s, *v)).collect();
+        }
+        assert_eq!(program_fingerprint(&a), program_fingerprint(&b));
+        assert_ne!(program_fingerprint(&a), program_fingerprint(&build(8)));
     }
 
     #[test]
@@ -612,26 +762,5 @@ mod tests {
         assert!(c.probe(1, 2, 0, 9).is_none());
         let s = c.stats();
         assert_eq!((s.inserts, s.entries, s.hits, s.misses), (0, 0, 0, 0));
-    }
-
-    #[test]
-    fn shared_baselines_first_publisher_wins() {
-        let c = SharedCodeCache::new(4);
-        assert!(c.baseline(1, 5).is_none());
-        let f = Arc::new(dchm_ir::Function {
-            blocks: vec![],
-            num_regs: 3,
-            arg_count: 1,
-        });
-        c.publish_baseline(1, 5, Arc::clone(&f));
-        let g = Arc::new(dchm_ir::Function {
-            blocks: vec![],
-            num_regs: 9,
-            arg_count: 1,
-        });
-        c.publish_baseline(1, 5, g);
-        assert!(Arc::ptr_eq(&c.baseline(1, 5).unwrap(), &f));
-        assert!(c.baseline(2, 5).is_none());
-        assert_eq!(c.stats().baselines, 1);
     }
 }

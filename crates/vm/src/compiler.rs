@@ -79,6 +79,21 @@ impl Fnv {
         }
     }
 
+    pub(crate) fn mix_words(&mut self, vs: &[u64]) {
+        vs.iter().for_each(|&v| self.mix_u64(v));
+    }
+
+    /// Folds a string in, length first so adjacent strings cannot run
+    /// into each other.
+    pub(crate) fn mix_str(&mut self, s: &str) {
+        self.mix_u64(s.len() as u64);
+        for chunk in s.as_bytes().chunks(8) {
+            let mut v = [0u8; 8];
+            v[..chunk.len()].copy_from_slice(chunk);
+            self.mix_u64(u64::from_le_bytes(v));
+        }
+    }
+
     /// Folds a value in with the same equivalence as [`Value::key_eq`]:
     /// doubles by bit pattern (all NaNs equal their own bit pattern, `-0.0`
     /// distinct from `0.0`).
@@ -106,8 +121,7 @@ impl Fnv {
 }
 
 /// Everything the optimizing compiler reads from the VM, borrowed into one
-/// bundle, so a pipeline can run against these slices while the lift cache
-/// in the rest of the state is borrowed mutably.
+/// bundle.
 #[derive(Clone, Copy)]
 pub struct CompileEnv<'a> {
     /// The program being compiled.

@@ -17,7 +17,7 @@
 //! to per-op accounting; the fuel check is likewise hoisted to block
 //! granularity (loops always cross a block boundary, so infinite loops
 //! still trap). Receiver-polymorphic call sites carry monomorphic inline
-//! caches keyed on the receiver's TIB (see [`VmState::ic_lookup`]),
+//! caches keyed on the receiver's TIB (see `VmState::ic_lookup`),
 //! invalidated wholesale whenever the mutation engine patches TIBs, the
 //! JTOC, or installs code.
 

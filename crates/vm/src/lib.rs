@@ -88,9 +88,7 @@ pub use hooks::{
     PatchSpec, VmObserver,
 };
 pub use interp::Vm;
-pub use state::{
-    CodeMeta, CodeSlot, CompileRequest, CompiledId, CompiledMethod, VmConfig, VmState,
-};
+pub use state::{CodeMeta, CodeSlot, CompiledId, CompiledMethod, VmConfig, VmState};
 pub use stats::{MethodProfile, VmStats};
 pub use tib::{Imt, ImtEntry, Tib, TibId, TibKind, IMT_SLOTS};
 

@@ -2,7 +2,9 @@
 //! bookkeeping, heap plumbing and the public surface the mutation engine
 //! drives (special-TIB creation, slot patching, special compilation).
 
-use crate::codecache::{binding_fingerprint, CodeCache, Probe, SharedArtifact, SharedCodeCache};
+use crate::codecache::{
+    binding_fingerprint, program_fingerprint, CodeCache, Probe, SharedArtifact, SharedCodeCache,
+};
 use crate::compiler;
 use crate::error::RunError;
 use crate::governor::{Governor, GovernorConfig, GuardFailVerdict};
@@ -65,7 +67,7 @@ pub const STATIC_SITE_TIB: TibId = TibId(u32::MAX);
 ///
 /// * dense call-site numbering — every call op gets a sequential site id
 ///   (everything else maps to [`NO_SITE`]), indexing this method's
-///   inline-cache row in [`VmState::icaches`]. Receiver-polymorphic sites
+///   inline-cache row in `VmState::icaches`. Receiver-polymorphic sites
 ///   (`CallVirtual`/`CallInterface`) key their entry on the receiver TIB;
 ///   monomorphic sites (`CallSpecial`/`CallStatic`) use
 ///   [`STATIC_SITE_TIB`], caching the JTOC/special resolution;
@@ -134,7 +136,7 @@ impl CodeMeta {
 
 /// One monomorphic inline-cache entry: the last dispatch outcome observed
 /// at a call site, keyed by the receiver's TIB. `version` ties the entry to
-/// the global [`VmState::ic_version`]; any TIB/JTOC patch bumps the version
+/// the global `VmState::ic_version`; any TIB/JTOC patch bumps the version
 /// and implicitly empties every cache in O(1).
 #[derive(Clone, Copy, Debug)]
 pub struct IcEntry {
@@ -430,17 +432,16 @@ pub struct VmState {
     /// hash-consed across structurally identical methods.
     pub lift_cache: LiftCache,
     /// Host wall-clock nanoseconds this VM's thread spent in the compiler
-    /// pipeline, baseline lift included, on every compile path (single
-    /// request or batch). *Not* modeled time — benchmarks read it to
-    /// measure what the caches save on the host. Exactly zero when every
-    /// compile request of a run was answered by a cache.
+    /// pipeline, baseline lift included. *Not* modeled time — benchmarks
+    /// read it to measure what the caches save on the host. Exactly zero
+    /// when every compile request of a run was answered by a cache.
     pub compile_wall_nanos: u64,
     /// Fleet-wide shared artifact cache; `None` outside a fleet. Probed by
     /// every compile path after the local [`CodeCache`], purely host-side:
     /// a hit skips the compiler pipeline but bills, installs and traces
     /// exactly as a local compile would.
     shared_cache: Option<Arc<SharedCodeCache>>,
-    /// FNV fingerprint of the program text, computed when a shared cache is
+    /// Canonical program fingerprint, computed when a shared cache is
     /// attached; folded with the compiler-environment fingerprint into the
     /// shared cache's scope key so distinct tenants never collide.
     program_fp: u64,
@@ -456,17 +457,6 @@ pub struct VmState {
     /// Set when a contained panic left the VM state suspect; further runs
     /// return [`RunError::Poisoned`] instead of executing.
     pub poisoned: bool,
-}
-
-/// One deferred compilation request for [`VmState::compile_batch`].
-#[derive(Clone, Debug)]
-pub struct CompileRequest {
-    /// Method to compile.
-    pub method: MethodId,
-    /// Optimization level.
-    pub level: u8,
-    /// State bindings for a special version; `None` requests general code.
-    pub bindings: Option<Bindings>,
 }
 
 impl VmState {
@@ -613,24 +603,13 @@ impl VmState {
     /// Attaches the fleet-wide shared artifact cache. Attach right after
     /// engine attach (before the first run): attaching later is safe but
     /// forfeits sharing of compiles that already happened. Fingerprints the
-    /// full program text once; together with the per-request compiler
-    /// environment fingerprint that scopes every shared key, so only
-    /// tenants whose compiles are bit-identical by construction — same
-    /// program, same plan/hints/inlining — ever share an entry.
+    /// program once ([`program_fingerprint`]); together with the
+    /// per-request compiler environment fingerprint that scopes every shared
+    /// key, so only tenants whose compiles are bit-identical by construction
+    /// — same program, same plan/hints/inlining — ever share an entry.
     pub fn attach_shared_cache(&mut self, cache: Arc<SharedCodeCache>) {
-        let mut h = compiler::Fnv::new();
-        for chunk in format!("{:?}", self.program).as_bytes().chunks(8) {
-            let mut v = [0u8; 8];
-            v[..chunk.len()].copy_from_slice(chunk);
-            h.mix_u64(u64::from_le_bytes(v));
-        }
-        self.program_fp = h.finish();
+        self.program_fp = program_fingerprint(&self.program);
         self.shared_cache = Some(cache);
-    }
-
-    /// The shared cache attached to this VM, if any.
-    pub fn shared_cache(&self) -> Option<&Arc<SharedCodeCache>> {
-        self.shared_cache.as_ref()
     }
 
     /// The compiled method behind an id.
@@ -669,8 +648,8 @@ impl VmState {
     /// Compiles general code for `mid` at `level`, installs it into the
     /// JTOC/class TIBs and subclass TIBs, and queues the recompilation
     /// event for the mutation handler. A compile failure (injected or
-    /// quarantined) is not fatal: the method tiers down — see
-    /// [`Self::tier_down`].
+    /// quarantined) is not fatal: the method keeps its current general code,
+    /// or gets level-0 baseline code when it has none yet.
     pub fn recompile(&mut self, mid: MethodId, level: u8) -> CompiledId {
         match self.compile_internal(mid, level, None) {
             Some(cid) => {
@@ -697,9 +676,7 @@ impl VmState {
     }
 
     /// The install/bookkeeping tail of [`Self::recompile`]: JTOC/TIB
-    /// install, profile update, recompilation event, trace stamp. Shared by
-    /// the serial and batched recompilation paths so both interleave
-    /// billing and installation identically.
+    /// install, profile update, recompilation event, trace stamp.
     fn finish_recompile(&mut self, mid: MethodId, level: u8, cid: CompiledId) {
         self.install_general(mid, cid);
         let p = &mut self.stats.per_method[mid.index()];
@@ -736,13 +713,6 @@ impl VmState {
         self.compile_internal(mid, level, Some(bindings))
     }
 
-    /// True when `(method, level)` is fallible at all: level-0 baseline
-    /// compiles are exempt from injection and quarantine so a tier-down
-    /// target always exists.
-    fn compile_fallible(level: u8, special: bool) -> bool {
-        level >= 1 || special
-    }
-
     fn compile_internal(
         &mut self,
         mid: MethodId,
@@ -750,7 +720,9 @@ impl VmState {
         bindings: Option<&Bindings>,
     ) -> Option<CompiledId> {
         let special = bindings.is_some();
-        if Self::compile_fallible(level, special) {
+        // Level-0 baseline compiles are exempt from injection and
+        // quarantine so a tier-down target always exists.
+        if level >= 1 || special {
             if !self.compile_allowed(mid, level) {
                 return None;
             }
@@ -825,28 +797,17 @@ impl VmState {
             .compile_allowed(&self.config.governor, mid.0, level, self.clock)
     }
 
-    /// Runs the compiler pipeline for one request, sharing the memoized
-    /// baseline lift. Pure host work: bills nothing, installs nothing.
-    fn run_compiler(
-        &mut self,
-        mid: MethodId,
-        level: u8,
-        bindings: Option<&Bindings>,
-        env_fp: u64,
-    ) -> compiler::CompileOutcome {
-        let baseline = self.baseline_for(mid, env_fp);
-        let env = compiler::CompileEnv::of(self);
-        compiler::compile_in(&env, &baseline, mid, level, bindings)
-    }
-
     /// Produces the artifact for one compile request: probes the fleet's
     /// shared cache when one is attached (compilation is deterministic, so
     /// the artifact another tenant published is bit for bit what this
-    /// compiler would produce), otherwise runs the pipeline and publishes
-    /// the result for the other tenants. Only the pipeline itself is
-    /// wall-timed: a request answered by the shared cache adds exactly zero
-    /// to [`Self::compile_wall_nanos`]. Pure host work — bills nothing,
-    /// installs nothing, touches no modeled observable.
+    /// compiler would produce), otherwise runs the pipeline from the
+    /// memoized baseline lift (one lift per method and compiler
+    /// environment, shared by the general version and every state
+    /// specialization) and publishes the result for the other tenants. Only
+    /// the pipeline itself is wall-timed: a request answered by the shared
+    /// cache adds exactly zero to [`Self::compile_wall_nanos`]. Pure host
+    /// work — bills nothing, installs nothing, touches no modeled
+    /// observable.
     fn produce_artifact(
         &mut self,
         mid: MethodId,
@@ -864,69 +825,28 @@ impl VmState {
             self.shared_misses += 1;
         }
         let t0 = Instant::now();
-        let outcome = self.run_compiler(mid, level, bindings, env_fp);
+        // The lift cache is moved out while the compile environment borrows
+        // the rest of the state.
+        let mut lifts = std::mem::take(&mut self.lift_cache);
+        let env = compiler::CompileEnv::of(self);
+        let baseline = lifts.get_or_lift(mid.0, env_fp, || compiler::lift_baseline(&env, mid));
+        let outcome = compiler::compile_in(&env, &baseline, mid, level, bindings);
+        self.lift_cache = lifts;
         self.compile_wall_nanos += t0.elapsed().as_nanos() as u64;
         // Metadata derivation stays outside the wall timer, exactly as the
         // pre-fleet `push_code` built it after the timed pipeline returned.
-        let a = Self::artifact_of(outcome);
+        let func = Arc::new(outcome.func);
+        let a = SharedArtifact {
+            meta: Arc::new(CodeMeta::build(&func)),
+            func,
+            size_bytes: outcome.size_bytes,
+            compile_cycles: outcome.compile_cycles,
+            deopt: outcome.deopt.map(Arc::new),
+        };
         if let Some(sc) = &self.shared_cache {
             sc.insert(scope, mid.0, level, binding_fp, a.clone());
         }
         a
-    }
-
-    /// Wraps a raw compiler outcome into the Arc'd shareable form.
-    fn artifact_of(outcome: compiler::CompileOutcome) -> SharedArtifact {
-        let func = Arc::new(outcome.func);
-        let meta = Arc::new(CodeMeta::build(&func));
-        SharedArtifact {
-            func,
-            meta,
-            size_bytes: outcome.size_bytes,
-            compile_cycles: outcome.compile_cycles,
-            deopt: outcome.deopt.map(Arc::new),
-        }
-    }
-
-    /// The memoized baseline (lifted + instrumented) IR of `mid`, computed
-    /// at most once per method and compiler environment. With a shared
-    /// cache attached the lift itself is fetched from (or published to) the
-    /// fleet's baseline map, and the local `LiftCache` still hash-conses
-    /// whatever comes back.
-    fn baseline_for(&mut self, mid: MethodId, env_fp: u64) -> Arc<Function> {
-        let scope = SharedCodeCache::scope_of(self.program_fp, env_fp);
-        // Split borrows: the lift cache is mutated while the compile
-        // environment borrows the rest of the state.
-        let VmState {
-            ref program,
-            ref patch_spec,
-            ref hints,
-            ref unique_impl,
-            ref config,
-            ref mut lift_cache,
-            ref shared_cache,
-            ..
-        } = *self;
-        let env = compiler::CompileEnv {
-            program,
-            patch_spec,
-            hints,
-            unique_impl,
-            enable_inlining: config.enable_inlining,
-            max_inline_size: config.max_inline_size,
-            max_inline_depth: config.max_inline_depth,
-        };
-        match shared_cache {
-            Some(sc) => lift_cache.get_or_adopt(mid.0, env_fp, || match sc.baseline(scope, mid.0) {
-                Some(f) => f,
-                None => {
-                    let f = Arc::new(compiler::lift_baseline(&env, mid));
-                    sc.publish_baseline(scope, mid.0, Arc::clone(&f));
-                    f
-                }
-            }),
-            None => lift_cache.get_or_lift(mid.0, env_fp, || compiler::lift_baseline(&env, mid)),
-        }
     }
 
     /// Bills one compilation: modeled clock plus the compile statistics,
@@ -1072,216 +992,6 @@ impl VmState {
                 }
             }
         }
-    }
-
-    /// Compiles a batch of requests on the calling thread, coalescing
-    /// duplicates through the code cache and probing the fleet's shared
-    /// store once per remaining job. Billing, statistics, installation and
-    /// trace stamps happen in request order, so every modeled observable is
-    /// bit-identical to issuing the requests one by one. Returns one result
-    /// per request, in order; `None` marks a failed or quarantined compile
-    /// (the caller keeps whatever code it had).
-    pub fn compile_batch(&mut self, reqs: Vec<CompileRequest>) -> Vec<Option<CompiledId>> {
-        self.compile_batch_impl(reqs, false)
-    }
-
-    /// Batched [`Self::recompile`]: compiles every `(method, level)` pair,
-    /// then installs and bills in request order — the same interleaving
-    /// the one-by-one recompile loop produces. Failed compiles tier down like
-    /// [`Self::recompile`], so every request yields code.
-    pub fn recompile_batch(&mut self, reqs: &[(MethodId, u8)]) -> Vec<CompiledId> {
-        let reqs = reqs
-            .iter()
-            .map(|&(method, level)| CompileRequest {
-                method,
-                level,
-                bindings: None,
-            })
-            .collect();
-        self.compile_batch_impl(reqs, true)
-            .into_iter()
-            .map(|c| c.expect("recompile batch tiers down on failure"))
-            .collect()
-    }
-
-    fn compile_batch_impl(
-        &mut self,
-        reqs: Vec<CompileRequest>,
-        install: bool,
-    ) -> Vec<Option<CompiledId>> {
-        /// Phase-A resolution of one request.
-        enum Slot {
-            /// Cached: replay in phase C.
-            Hit { cid: CompiledId, cost: u64 },
-            /// Compile job `job`; `use_cache` is false when the cache is
-            /// disabled (no counters, no insert).
-            Job {
-                job: usize,
-                binding_fp: u64,
-                invalidated: bool,
-                use_cache: bool,
-            },
-            /// Same key as an earlier job in this batch: re-probe in phase
-            /// C, after the twin's insert — exactly what a serial loop sees.
-            DupOf { binding_fp: u64 },
-            /// Quarantined or injected-to-fail: no compile, result `None`
-            /// (or a tier-down when installing).
-            Fail,
-        }
-
-        if reqs.is_empty() {
-            return Vec::new();
-        }
-        // One fingerprint for the whole batch: installs in phase C touch
-        // none of the compiler inputs the fingerprint covers.
-        let env_fp = compiler::CompileEnv::of(self).fingerprint();
-
-        // Phase A — serial quarantine gates, failure draws and cache probes
-        // in request order (the injector draw sequence and governor updates
-        // must match what a serial loop would produce).
-        let mut slots = Vec::with_capacity(reqs.len());
-        let mut jobs: Vec<usize> = Vec::new();
-        let mut pending: HashSet<(u32, u8, u64)> = HashSet::new();
-        for (i, r) in reqs.iter().enumerate() {
-            if Self::compile_fallible(r.level, r.bindings.is_some()) {
-                if !self.compile_allowed(r.method, r.level) {
-                    slots.push(Slot::Fail);
-                    continue;
-                }
-                if self.injector.as_mut().is_some_and(FaultInjector::at_compile) {
-                    self.record_compile_failure(r.method, r.level);
-                    slots.push(Slot::Fail);
-                    continue;
-                }
-            }
-            let binding_fp = binding_fingerprint(r.bindings.as_ref());
-            if pending.contains(&(r.method.0, r.level, binding_fp)) {
-                slots.push(Slot::DupOf { binding_fp });
-                continue;
-            }
-            match self.code_cache.probe(r.method.0, r.level, binding_fp, env_fp) {
-                Probe::Hit {
-                    cid,
-                    compile_cycles,
-                } => slots.push(Slot::Hit {
-                    cid,
-                    cost: compile_cycles,
-                }),
-                Probe::Miss { invalidated } => {
-                    pending.insert((r.method.0, r.level, binding_fp));
-                    slots.push(Slot::Job {
-                        job: jobs.len(),
-                        binding_fp,
-                        invalidated,
-                        use_cache: true,
-                    });
-                    jobs.push(i);
-                }
-                Probe::Disabled => {
-                    slots.push(Slot::Job {
-                        job: jobs.len(),
-                        binding_fp,
-                        invalidated: false,
-                        use_cache: false,
-                    });
-                    jobs.push(i);
-                }
-            }
-        }
-
-        // Phase B — produce the artifacts on this thread, one job at a time,
-        // through the same shared-store probe → pipeline → publish sequence
-        // a single request takes. Pure host work: nothing is billed here.
-        let mut artifacts: Vec<Option<SharedArtifact>> = jobs
-            .iter()
-            .map(|&i| {
-                let r = &reqs[i];
-                let binding_fp = binding_fingerprint(r.bindings.as_ref());
-                Some(self.produce_artifact(r.method, r.level, r.bindings.as_ref(), binding_fp, env_fp))
-            })
-            .collect();
-
-        // Phase C — serial, in request order: bill, store, trace-stamp and
-        // (for recompiles) install, replicating the serial loop exactly.
-        let mut cids = Vec::with_capacity(reqs.len());
-        for (i, r) in reqs.iter().enumerate() {
-            let special = r.bindings.is_some();
-            let cid = match slots[i] {
-                Slot::Fail => {
-                    // A failed install request still needs code: tier down
-                    // exactly like the serial recompile path (which also
-                    // skips the recompilation event for kept code).
-                    cids.push(if install { Some(self.tier_down(r.method)) } else { None });
-                    continue;
-                }
-                Slot::Hit { cid, cost } => {
-                    self.stats.code_cache_hits += 1;
-                    self.replay_cached(r.method, r.level, special, cid, cost);
-                    cid
-                }
-                Slot::Job {
-                    job,
-                    binding_fp,
-                    invalidated,
-                    use_cache,
-                } => {
-                    let a = artifacts[job].take().expect("job produced exactly once");
-                    if use_cache {
-                        if invalidated {
-                            self.stats.code_cache_invalidations += 1;
-                        }
-                        self.stats.code_cache_misses += 1;
-                    }
-                    let cost = a.compile_cycles;
-                    let cid = self.install_artifact(r.method, r.level, special, binding_fp, a);
-                    if use_cache {
-                        self.cache_insert((r.method.0, r.level, binding_fp), env_fp, cid, cost, false);
-                    }
-                    cid
-                }
-                Slot::DupOf { binding_fp } => {
-                    match self.code_cache.probe(r.method.0, r.level, binding_fp, env_fp) {
-                        Probe::Hit {
-                            cid,
-                            compile_cycles,
-                        } => {
-                            self.stats.code_cache_hits += 1;
-                            self.replay_cached(r.method, r.level, special, cid, compile_cycles);
-                            cid
-                        }
-                        // The twin's entry was evicted between its insert
-                        // and this probe (tiny capacity): fall back to a
-                        // full serial compile, like the serial loop would.
-                        _ => {
-                            self.stats.code_cache_misses += 1;
-                            let a = self.produce_artifact(
-                                r.method,
-                                r.level,
-                                r.bindings.as_ref(),
-                                binding_fp,
-                                env_fp,
-                            );
-                            let cost = a.compile_cycles;
-                            let cid =
-                                self.install_artifact(r.method, r.level, special, binding_fp, a);
-                            self.cache_insert(
-                                (r.method.0, r.level, binding_fp),
-                                env_fp,
-                                cid,
-                                cost,
-                                false,
-                            );
-                            cid
-                        }
-                    }
-                }
-            };
-            if install {
-                self.finish_recompile(r.method, r.level, cid);
-            }
-            cids.push(Some(cid));
-        }
-        cids
     }
 
     /// The baseline (level-0, unspecialized) code a deoptimizing frame of

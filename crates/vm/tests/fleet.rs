@@ -110,6 +110,26 @@ fn second_identical_tenant_runs_zero_compiler_pipelines() {
 }
 
 #[test]
+fn separately_built_tenants_of_one_program_share_every_artifact() {
+    // Every catalog build links its own copy of each program, so the second
+    // tenant's program is equal to the first's but not the same allocation.
+    // The shared store's scope must still match.
+    for ((job, solo), w) in goldens().iter().zip(catalog(Scale::Small)) {
+        let shared = Arc::new(SharedCodeCache::new(4096));
+        let first = run_job(job, Some(&shared));
+        let second = run_job(&FleetJob::for_workload(&w), Some(&shared));
+        assert_shard_matches_solo("built once", &job.name, &first, solo);
+        assert_shard_matches_solo("built twice", &job.name, &second, solo);
+        assert_eq!(second.shared_misses, 0, "{}: the rebuilt tenant missed", job.name);
+        assert_eq!(
+            second.compile_wall_nanos, 0,
+            "{}: the rebuilt tenant ran a pipeline",
+            job.name
+        );
+    }
+}
+
+#[test]
 fn fleet_under_fault_injection_is_bit_identical_to_solo_injection() {
     // Fault-injected tenants: the injector draws are seeded per tenant, so
     // a shard's sequence is the solo sequence regardless of interleaving.

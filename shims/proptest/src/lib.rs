@@ -213,7 +213,7 @@ pub mod prop {
             VecStrategy { elem, len }
         }
 
-        /// Strategy returned by [`vec`].
+        /// Strategy returned by [`vec()`].
         pub struct VecStrategy<S> {
             elem: S,
             len: Range<usize>,
